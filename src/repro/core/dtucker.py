@@ -210,7 +210,8 @@ class DTucker:
     # -- public API ------------------------------------------------------------
     def fit(self, tensor: np.ndarray) -> "DTucker":
         """Run all three phases on ``tensor`` and store the results."""
-        x = as_tensor(tensor, min_order=2, name="tensor")
+        # DenseSource below makes the fit's one NaN/Inf scan.
+        x = as_tensor(tensor, min_order=2, name="tensor", finite=False)
         rank_tuple = check_ranks(self.ranks, x.shape)
         m1, m2 = _resolve_slice_modes(self.slice_modes, x.shape)
         rest = [n for n in range(x.ndim) if n not in (m1, m2)]

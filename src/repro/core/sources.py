@@ -14,7 +14,8 @@ accounting, uniformly for every source.
 
 Four adapters cover the library's entry points:
 
-* :class:`DenseSource` — an in-memory array (one strided view, no copy);
+* :class:`DenseSource` — an in-memory array (one strided view, gathered
+  block by block by the compression kernels);
 * :class:`NpySource` — a memory-mapped ``.npy`` file (one cached read-only
   handle per process, batches gathered page-by-page);
 * :class:`SparseSource` — a :class:`~repro.sparse.coo.SparseTensor`
@@ -53,14 +54,12 @@ from ..exceptions import RankError, ShapeError
 from ..kernels.buffers import BufferPool
 from ..kernels.compress_plan import (
     CompressionPlan,
+    compress_chunk,
     execute_plan,
-    plan_exact_chunk,
     plan_from_config,
     plan_item_costs,
-    slab_norms,
 )
 from ..kernels.stats import KernelStats
-from ..linalg.rsvd import batched_rsvd, batched_svd_via_gram
 from ..linalg.svd import sign_fix
 from ..tensor.random import default_rng
 from ..tensor.slices import slice_count, slice_index_to_multi, to_slices
@@ -406,10 +405,14 @@ class DenseDescriptor:
 class DenseSource(SliceSourceBase):
     """An in-memory dense tensor, served as one strided slice-stack view.
 
-    ``read_batch`` returns views into the original array — no copy is made
-    for the default whole-tensor batch, which keeps this path bit-identical
-    to the historical in-memory ``compress`` (the per-slice norm einsum is
-    layout-sensitive in the last bits).
+    Construction validates the tensor (one NaN/Inf scan).  ``read_batch``
+    returns strided views into the original array, never a copy; the
+    compression kernels gather those views block by block
+    (:func:`~repro.kernels.compress_plan.compress_chunk`), so the factors,
+    norms included, are bitwise those of a contiguous copy of the slab.
+    Order-``>= 4`` C-ordered tensors are the exception: their slice
+    reshape is not a view, and :func:`~repro.tensor.slices.to_slices`
+    copies them once.
     """
 
     def __init__(self, tensor: np.ndarray) -> None:
@@ -454,18 +457,14 @@ def _npy_batch_task(
     """
     start, stop, omega = task
     stack = batched_slice_view(_open_memmap_cached(path), start, stop)
-    if precision == "float32":
-        stack = np.ascontiguousarray(stack, dtype=np.float32)
-    norms = slab_norms(stack)
-    if method == "exact":
-        u, s, vt, _ = plan_exact_chunk(stack, rank=rank)
-    elif method == "gram" or omega is None:
-        u, s, vt = batched_svd_via_gram(stack, rank)
-    else:
-        u, s, vt = batched_rsvd(
-            stack, rank, power_iterations=power_iterations, test_matrix=omega
-        )
-    return u, s, vt, norms
+    return compress_chunk(
+        stack,
+        method=method,
+        rank=rank,
+        dtype=precision,
+        power_iterations=power_iterations,
+        omega=omega,
+    )
 
 
 class NpySource(SliceSourceBase):
@@ -729,18 +728,14 @@ def _sparse_batch_task(
     """Densify and compress one sparse batch inside a worker process."""
     start, stop, omega = task
     stack = descriptor.open().read_batch(start, stop)
-    if precision == "float32":
-        stack = np.ascontiguousarray(stack, dtype=np.float32)
-    norms = slab_norms(stack)
-    if method == "exact":
-        u, s, vt, _ = plan_exact_chunk(stack, rank=rank)
-    elif method == "gram" or omega is None:
-        u, s, vt = batched_svd_via_gram(stack, rank)
-    else:
-        u, s, vt = batched_rsvd(
-            stack, rank, power_iterations=power_iterations, test_matrix=omega
-        )
-    return u, s, vt, norms
+    return compress_chunk(
+        stack,
+        method=method,
+        rank=rank,
+        dtype=precision,
+        power_iterations=power_iterations,
+        omega=omega,
+    )
 
 
 @dataclass(frozen=True)

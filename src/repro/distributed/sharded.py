@@ -63,13 +63,11 @@ from ..engine import CommCost, ExecutionBackend, combine_costs
 from ..exceptions import BackendError, ShapeError
 from ..kernels.compress_plan import (
     CompressionPlan,
+    compress_chunk,
     factor_nbytes,
-    plan_exact_chunk,
     plan_item_costs,
-    slab_norms,
 )
 from ..kernels.stats import KernelStats
-from ..linalg.rsvd import batched_rsvd, batched_svd_via_gram
 from ..tensor.slices import slice_count
 
 __all__ = [
@@ -270,18 +268,14 @@ def _shard_compress_task(
     """
     descriptor, start, stop, omega = task
     stack = descriptor.open().read_batch(start, stop)
-    if precision == "float32":
-        stack = np.ascontiguousarray(stack, dtype=np.float32)
-    norms = slab_norms(stack)
-    if method == "exact":
-        u, s, vt, _ = plan_exact_chunk(stack, rank=rank)
-    elif method == "gram" or omega is None:
-        u, s, vt = batched_svd_via_gram(stack, rank)
-    else:
-        u, s, vt = batched_rsvd(
-            stack, rank, power_iterations=power_iterations, test_matrix=omega
-        )
-    return u, s, vt, norms
+    return compress_chunk(
+        stack,
+        method=method,
+        rank=rank,
+        dtype=precision,
+        power_iterations=power_iterations,
+        omega=omega,
+    )
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,15 @@ its shape-stationary hot-path products through these so steady-state ALS
 sweeps stop paying the allocator.  Both are bit-identical to their
 allocating counterparts — NumPy dispatches the identical kernel either way
 — which is what lets the workspace path stay exactly reproducible.
+
+Blocked gathers
+---------------
+:func:`gather_into` copies a strided ``(L, I1, I2)`` slice stack into a
+C-contiguous buffer in blocks of whole slices (:data:`BLOCK_BYTES`), and
+in row bands small enough that every cache line a strided source pulls in
+is used up before it is evicted.  The compression kernels gather each
+block of slices this way, and the process backend uploads slabs into
+shared memory with it.
 """
 
 from __future__ import annotations
@@ -41,7 +50,17 @@ __all__ = [
     "current_blas_threads",
     "gemm_into",
     "einsum_into",
+    "gather_into",
+    "BLOCK_BYTES",
 ]
+
+#: Byte budget of one block of whole slices: the unit the compression
+#: kernels gather, sketch and factor together, so a block and its
+#: intermediates stay cache-resident (1-4 MiB measured equal).
+BLOCK_BYTES = 2 << 20
+
+#: Source cache-line bytes one row band of :func:`gather_into` touches.
+_BAND_BYTES = 128 << 10
 
 
 def gemm_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -74,6 +93,38 @@ def einsum_into(subscripts: str, *operands: np.ndarray, out: np.ndarray) -> np.n
     if am.is_numpy:
         return np.einsum(subscripts, *operands, optimize=True, out=out)
     return am.einsum(subscripts, *operands, out=out)
+
+
+def gather_into(dst: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Copy ``src`` into the C-contiguous ``dst`` of the same shape (returned).
+
+    The values are exactly those of ``dst[...] = src`` (casting as
+    ``astype`` does).  A 3-D ``(L, I1, I2)`` stack whose slice axis has
+    the smallest stride — the slice view of a C-ordered tensor, where
+    neighbouring slices share cache lines — is copied in blocks of
+    :data:`BLOCK_BYTES` of whole slices, each in bands of rows whose source
+    lines fit in L2.  The plain copy would walk a whole slice before
+    coming back to a line for the next one, rereading the slab from
+    memory once per slice.  Other layouts, and slices too large for two to
+    share a block, gain nothing from banding and get the plain copy.
+    """
+    if src.ndim == 3 and not src.flags.c_contiguous:
+        n, rows, cols = src.shape
+        step = BLOCK_BYTES // max(1, rows * cols * max(src.itemsize, dst.itemsize))
+        if step > 1 and abs(src.strides[0]) < min(abs(s) for s in src.strides[1:]):
+            for lo in range(0, n, step):
+                hi = min(lo + step, n)
+                band = max(1, _BAND_BYTES // (cols * max(64, (hi - lo) * src.itemsize)))
+                for r in range(0, rows, band):
+                    np.copyto(
+                        dst[lo:hi, r : r + band],
+                        src[lo:hi, r : r + band],
+                        casting="unsafe",
+                    )
+            return dst
+    np.copyto(dst, src, casting="unsafe")
+    return dst
+
 
 _SETTERS = (
     "openblas_set_num_threads",

@@ -5,7 +5,8 @@ entirely, at the price of inter-process data movement.  The backend keeps
 that price low with two mechanisms:
 
 * **Shared-memory slabs** — slab arrays (the slice triples ``U``/``s``/
-  ``Vt``, the slice stack being compressed) are copied once into
+  ``Vt``, the slice stack being compressed) are gathered once, straight
+  from their strided layout, into
   :class:`multiprocessing.shared_memory.SharedMemory` segments and cached
   for the lifetime of the backend, keyed by array identity.  Tasks ship
   only ``(segment name, shape, dtype, start, stop)`` descriptors; workers
@@ -40,6 +41,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .base import ChunkKernel, ExecutionBackend
+from .blas import gather_into
 from .cost import CostModel
 
 __all__ = ["ProcessBackend"]
@@ -129,10 +131,12 @@ class ProcessBackend(ExecutionBackend):
         cached = self._slabs.get(key)
         if cached is not None:
             return cached[2]
-        contiguous = np.ascontiguousarray(array)
-        segment = shared_memory.SharedMemory(create=True, size=contiguous.nbytes)
-        np.ndarray(contiguous.shape, dtype=contiguous.dtype, buffer=segment.buf)[...] = contiguous
-        descr: _SlabDescr = (segment.name, contiguous.shape, contiguous.dtype.str)
+        src = np.asarray(array)
+        segment = shared_memory.SharedMemory(create=True, size=src.nbytes)
+        # Gather straight into the segment: a strided slice view is copied
+        # in cache-sized blocks, with no slab-sized temporary in between.
+        gather_into(np.ndarray(src.shape, dtype=src.dtype, buffer=segment.buf), src)
+        descr: _SlabDescr = (segment.name, src.shape, src.dtype.str)
         self._slabs[key] = (array, segment, descr)
         return descr
 

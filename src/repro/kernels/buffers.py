@@ -18,10 +18,14 @@ for under a different module, exactly like a shape or dtype change.
 
 A slot is handed out again only after its previous contents are dead; the
 workspace enforces this by tying each slot to a cache entry that is
-invalidated before the slot is rewritten.
+invalidated before the slot is rewritten.  :meth:`BufferPool.take` is
+thread-safe, so concurrent chunk kernels may draw distinct slots from one
+pool (the compression kernels key their slot by thread).
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -42,6 +46,7 @@ class BufferPool:
 
     def __init__(self, module: ArrayModule | None = None) -> None:
         self._buffers: dict[str, tuple[object, ArrayModule]] = {}
+        self._lock = threading.Lock()
         self.module = module if module is not None else NUMPY
         self.bytes_reused = 0
         self.bytes_allocated = 0
@@ -63,20 +68,21 @@ class BufferPool:
         """
         am = module if module is not None else self.module
         shape = tuple(int(d) for d in shape)
-        entry = self._buffers.get(tag)
-        if entry is not None:
-            buf, owner = entry
-            if (
-                owner is am
-                and tuple(buf.shape) == shape
-                and am.np_dtype(buf) == np.dtype(dtype)
-            ):
-                self.bytes_reused += am.nbytes(buf)
-                return buf
-        buf = am.empty(shape, dtype=dtype)
-        self.bytes_allocated += am.nbytes(buf)
-        self._buffers[tag] = (buf, am)
-        return buf
+        with self._lock:
+            entry = self._buffers.get(tag)
+            if entry is not None:
+                buf, owner = entry
+                if (
+                    owner is am
+                    and tuple(buf.shape) == shape
+                    and am.np_dtype(buf) == np.dtype(dtype)
+                ):
+                    self.bytes_reused += am.nbytes(buf)
+                    return buf
+            buf = am.empty(shape, dtype=dtype)
+            self.bytes_allocated += am.nbytes(buf)
+            self._buffers[tag] = (buf, am)
+            return buf
 
     def clear(self) -> None:
         """Drop every buffer (counters are kept)."""

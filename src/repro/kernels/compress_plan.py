@@ -20,9 +20,12 @@ stack, with very different cost profiles:
 dispatch for ``strategy="rsvd"``, or honours an explicit ``"gram"`` /
 ``"exact"`` request.  :func:`execute_plan` then runs the chosen method
 through the execution engine: it draws (or receives) *one* Gaussian test
-matrix per slab, applies it with a single stacked GEMM into a pooled
-buffer, and fans the factorization out in chunks that are bitwise
-identical to the unchunked batched call.
+matrix per slab, broadcasts it to every chunk, and each chunk kernel
+(:func:`compress_chunk`) streams its slices in cache-sized blocks —
+gather into a contiguous buffer, norms, sketch ``block @ Ω``, factor,
+write into preallocated outputs.  No slab-sized copy or sketch is ever
+made, and since every batched LAPACK/BLAS call runs once per matrix the
+factors are bitwise those of one batched call on the whole slab.
 
 The cost constants were calibrated on batched NumPy/LAPACK timings (QR and
 eig/SVD flops carry much larger constants than GEMM flops); they only need
@@ -31,15 +34,16 @@ to rank the three methods correctly, not predict wall time.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..engine import ExecutionBackend, chunked, concat_chunks
-from ..engine.array_api import ArrayModule, get_module, resolve_device
+from ..engine.array_api import get_module, resolve_device
+from ..engine.blas import BLOCK_BYTES, gather_into
 from ..exceptions import RankError, ShapeError
-from ..linalg.rsvd import batched_rsvd, batched_svd_via_gram
-from ..linalg.svd import sign_fix
+from ..linalg.rsvd import _batched_sign_fix, batched_rsvd, batched_svd_via_gram
 from ..tensor.random import default_rng
 from .buffers import BufferPool
 from .stats import KernelStats
@@ -52,6 +56,7 @@ __all__ = [
     "plan_from_config",
     "plan_item_costs",
     "execute_plan",
+    "compress_chunk",
     "factor_nbytes",
     "slab_norms",
 ]
@@ -369,55 +374,81 @@ def slab_norms(stack: np.ndarray) -> np.ndarray:
     return np.einsum("lij,lij->l", stack, stack, optimize=True, dtype=np.float64)
 
 
-# -- chunk kernels (module level so the process backend can pickle them) ----
+# -- the block kernel (module level so the process backend can pickle it) ---
 
-def plan_exact_chunk(
-    stack: np.ndarray, *, rank: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact truncated SVD of one chunk of the slice stack."""
-    u, s, vt = np.linalg.svd(stack, full_matrices=False)
-    u, s, vt = u[:, :, :rank], s[:, :rank], vt[:, :rank, :]
-    fixed = [sign_fix(u[l], vt[l]) for l in range(u.shape[0])]
-    u = np.stack([f[0] for f in fixed])
-    vt = np.stack([f[1] for f in fixed])
-    return u, np.ascontiguousarray(s), vt, slab_norms(stack)
-
-
-def plan_gram_chunk(
-    stack: np.ndarray, *, rank: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gram-side truncated SVD of one chunk of the slice stack."""
-    u, s, vt = batched_svd_via_gram(stack, rank)
-    return u, s, vt, slab_norms(stack)
-
-
-def plan_rsvd_chunk(
+def compress_chunk(
     stack: np.ndarray,
-    sketch: np.ndarray,
     *,
+    method: str,
     rank: int,
-    power_iterations: int,
+    dtype: str = "float64",
+    power_iterations: int = 0,
+    omega: np.ndarray | None = None,
+    pool: BufferPool | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Randomized truncated SVD of one chunk, from a precomputed sketch.
+    """Factor one chunk of a slice stack, one cache-sized block at a time.
 
-    The planner sketches the whole slab with one stacked GEMM and ships
-    each chunk its rows of ``Y = A @ Ω``; since batched matmul is one GEMM
-    per matrix, the chunk factors exactly what a per-chunk sketch product
-    would produce.
+    A block holds as many whole slices as fit in
+    :data:`~repro.engine.blas.BLOCK_BYTES` (at least one).  Each block is
+    gathered into a contiguous ``dtype`` buffer, its float64-accumulated
+    norms are taken, it is factored with ``method`` — ``"rsvd"`` from the
+    sketch ``block @ omega``, ``"gram"``, or the exact SVD — and its
+    ``(U, s, Vᵀ)`` rows land in preallocated outputs.  Every batched
+    LAPACK/BLAS call runs once per matrix, so the factors are bitwise those
+    of one batched call on a contiguous copy of the whole chunk, whatever
+    the chunk's layout or the block size.
+
+    ``pool`` supplies the block buffer, one slot per calling thread so
+    concurrent chunks never share one; without it the buffer is allocated
+    per call.
     """
-    u, s, vt = batched_rsvd(
-        stack, rank, power_iterations=power_iterations, sketch=sketch
-    )
-    return u, s, vt, slab_norms(stack)
+    l, i1, i2 = stack.shape
+    dt = np.dtype(dtype)
+    if method == "rsvd":
+        if omega is None:
+            raise ShapeError("the rsvd method needs a test matrix (omega)")
+        om = np.asarray(omega, dtype=dt)
+    elif method not in ("exact", "gram"):
+        raise ShapeError(f"unknown plan method {method!r}")
+    u = np.empty((l, i1, rank), dt)
+    s = np.empty((l, rank), dt)
+    vt = np.empty((l, rank, i2), dt)
+    norms = np.empty(l)
+    step = min(l, max(1, BLOCK_BYTES // (i1 * i2 * dt.itemsize)))
+    shape = (step, i1, i2)
+    if pool is not None:
+        buf = pool.take(f"compress:block:{threading.get_ident()}", shape, dt)
+    else:
+        buf = np.empty(shape, dt)
+    for lo in range(0, l, step):
+        hi = min(lo + step, l)
+        blk = gather_into(buf[: hi - lo], stack[lo:hi])
+        norms[lo:hi] = slab_norms(blk)
+        if method == "exact":
+            bu, bs, bvt = np.linalg.svd(blk, full_matrices=False)
+            bu, bvt = _batched_sign_fix(bu[:, :, :rank], bvt[:, :rank, :])
+            bs = bs[:, :rank]
+        elif method == "gram":
+            bu, bs, bvt = batched_svd_via_gram(blk, rank)
+        else:
+            bu, bs, bvt = batched_rsvd(
+                blk, rank, power_iterations=power_iterations, sketch=blk @ om
+            )
+        u[lo:hi], s[lo:hi], vt[lo:hi] = bu, bs, bvt
+    return u, s, vt, norms
+
+
+def _concat_factors(parts: list[tuple]) -> tuple:
+    """Ordered chunk reduce; a lone chunk's fresh outputs pass through."""
+    return parts[0] if len(parts) == 1 else concat_chunks(parts)
 
 
 def _execute_plan_device(
     stack: np.ndarray,
     rank: int,
     plan: CompressionPlan,
+    omega: "np.ndarray | None",
     *,
-    rng: "int | np.random.Generator | None" = None,
-    omega: "np.ndarray | None" = None,
     stats: KernelStats | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run a device-placed plan inline: upload the slab, factor, download.
@@ -430,33 +461,20 @@ def _execute_plan_device(
     :class:`~repro.core.slice_svd.SliceSVD` is host-resident either way.
     """
     am = get_module(plan.device)
-    l, i1, i2 = stack.shape
     norms = slab_norms(stack)
     dev = am.to_device(stack)
     if stats is not None:
         stats.record_transfer("h2d", stack.nbytes)
     if plan.method == "exact":
-        from ..linalg.rsvd import _batched_sign_fix
-
         u, s, vt = am.svd(dev)
         u, s, vt = u[:, :, :rank], s[:, :rank], vt[:, :rank, :]
         u, vt = _batched_sign_fix(u, vt)
     elif plan.method == "gram":
         u, s, vt = batched_svd_via_gram(dev, rank)
     else:
-        if omega is None:
-            gen = default_rng(rng)
-            omega = gen.standard_normal((i2, plan.k_eff))
-        om = np.asarray(omega, dtype=plan.compute_dtype)
-        if om.shape != (i2, plan.k_eff):
-            raise ShapeError(
-                f"omega must have shape ({i2}, {plan.k_eff}), got {om.shape}"
-            )
+        om_dev = am.to_device(omega)
         if stats is not None:
-            stats.record_miss("sketch")
-        om_dev = am.to_device(om)
-        if stats is not None:
-            stats.record_transfer("h2d", om.nbytes)
+            stats.record_transfer("h2d", omega.nbytes)
         y = am.matmul(dev, om_dev)
         u, s, vt = batched_rsvd(
             dev, rank, power_iterations=plan.power_iterations, sketch=y
@@ -491,12 +509,12 @@ def execute_plan(
         the slice axis (bitwise identical to the unchunked batched call,
         because every batched LAPACK/BLAS primitive is a per-matrix loop).
     stack:
-        The slab; cast to ``plan.compute_dtype`` up front.  Its memory
-        layout is otherwise preserved: the factor kernels contiguize their
-        chunks internally, while the per-slice norm accumulation runs on
-        the caller's layout — summation order matters in the last bits, so
-        this keeps a strided in-memory slice view bit-identical to the
-        historical unplanned path.
+        The slab, in any memory layout (typically a strided slice view of
+        the caller's tensor).  It is never copied whole: each chunk kernel
+        (:func:`compress_chunk`) gathers cache-sized blocks of slices into
+        a contiguous ``plan.compute_dtype`` buffer, casting on the way, and
+        takes norms, sketch and factors on that buffer.  The results
+        therefore do not depend on the caller's layout.
     rank:
         Truncation rank ``K``.
     plan:
@@ -508,11 +526,10 @@ def execute_plan(
         out-of-core path draws all batches' matrices upfront in batch
         order so results do not depend on scheduling.  Overrides ``rng``.
     pool:
-        Optional :class:`~repro.kernels.buffers.BufferPool` the sketch GEMM
-        writes into, so repeated same-shape slabs (out-of-core batches)
-        reuse one buffer.  Ignored on the process backend: its
-        shared-memory uploads are cached by array identity, so slabs
-        shipped to workers must always be fresh arrays.
+        Optional :class:`~repro.kernels.buffers.BufferPool` supplying the
+        block buffers (one slot per worker thread), so repeated slabs
+        (out-of-core batches, repeated fits) reuse them.  Ignored on the
+        process backend, whose workers cannot share the caller's memory.
     stats:
         Optional :class:`~repro.kernels.stats.KernelStats`; records the
         planner decision (``plan:<method>`` miss) and each test-matrix
@@ -532,68 +549,44 @@ def execute_plan(
         ``(U, s, Vt, norms)`` — factors in ``plan.compute_dtype``, per-slice
         squared norms always in float64.
     """
-    a = np.asarray(stack, dtype=plan.compute_dtype)
+    a = np.asarray(stack)
     if a.ndim != 3:
         raise ShapeError(f"stack must be 3-D (L, I1, I2), got shape {a.shape}")
     l, i1, i2 = a.shape
     if stats is not None:
         stats.record_miss(f"plan:{plan.method}")
+    om = None
+    if plan.method == "rsvd":
+        if omega is None:
+            omega = default_rng(rng).standard_normal((i2, plan.k_eff))
+        om = np.asarray(omega, dtype=plan.compute_dtype)
+        if om.shape != (i2, plan.k_eff):
+            raise ShapeError(
+                f"omega must have shape ({i2}, {plan.k_eff}), got {om.shape}"
+            )
+        if stats is not None:
+            stats.record_miss("sketch")
     if plan.device != "cpu":
-        return _execute_plan_device(a, rank, plan, rng=rng, omega=omega, stats=stats)
-    if plan.method == "exact":
-        return chunked(
-            engine,
-            plan_exact_chunk,
-            l,
-            slabs=(a,),
-            broadcast={"rank": int(rank)},
-            chunk_size=chunk_size,
-            reduce=concat_chunks,
-            costs=costs,
-            schedule=schedule,
+        return _execute_plan_device(
+            np.asarray(a, dtype=plan.compute_dtype), rank, plan, om, stats=stats
         )
-    if plan.method == "gram":
-        return chunked(
-            engine,
-            plan_gram_chunk,
-            l,
-            slabs=(a,),
-            broadcast={"rank": int(rank)},
-            chunk_size=chunk_size,
-            reduce=concat_chunks,
-            costs=costs,
-            schedule=schedule,
-        )
-    if plan.method != "rsvd":  # pragma: no cover - plan construction guards this
-        raise ShapeError(f"unknown plan method {plan.method!r}")
-    if omega is None:
-        gen = default_rng(rng)
-        omega = gen.standard_normal((i2, plan.k_eff))
-    om = np.asarray(omega, dtype=plan.compute_dtype)
-    if om.shape != (i2, plan.k_eff):
-        raise ShapeError(
-            f"omega must have shape ({i2}, {plan.k_eff}), got {om.shape}"
-        )
-    if stats is not None:
-        stats.record_miss("sketch")
-    # One stacked GEMM sketches the whole slab; chunks then receive their
-    # rows of Y instead of re-multiplying against Ω.
+    broadcast = {
+        "method": plan.method,
+        "rank": int(rank),
+        "dtype": np.dtype(plan.compute_dtype).str,
+        "power_iterations": plan.power_iterations,
+        "omega": om,
+    }
     if pool is not None and engine.name != "process":
-        y = pool.take("compress:sketch", (l, i1, plan.k_eff), plan.compute_dtype)
-        np.matmul(a, om, out=y)
-    else:
-        y = a @ om
+        broadcast["pool"] = pool
     return chunked(
         engine,
-        plan_rsvd_chunk,
+        compress_chunk,
         l,
-        slabs=(a, y),
-        broadcast={
-            "rank": int(rank),
-            "power_iterations": plan.power_iterations,
-        },
+        slabs=(a,),
+        broadcast=broadcast,
         chunk_size=chunk_size,
-        reduce=concat_chunks,
+        reduce=_concat_factors,
         costs=costs,
         schedule=schedule,
     )

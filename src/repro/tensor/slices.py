@@ -49,7 +49,9 @@ def to_slices(tensor: np.ndarray) -> np.ndarray:
     """Reshape ``tensor`` to a slice stack of shape ``(I1, I2, L)``.
 
     The result is a view whenever the input is Fortran-compatible along the
-    trailing modes; otherwise NumPy copies.
+    trailing modes; otherwise NumPy copies.  Values are not scanned for
+    NaN/Inf: this is a reshape, and the entry points that call it validate
+    their input once.
 
     Parameters
     ----------
@@ -61,7 +63,7 @@ def to_slices(tensor: np.ndarray) -> np.ndarray:
     numpy.ndarray
         Array of shape ``(I1, I2, L)`` whose ``[:, :, l]`` is slice ``l``.
     """
-    x = as_tensor(tensor, min_order=2, name="tensor")
+    x = as_tensor(tensor, min_order=2, name="tensor", finite=False)
     i1, i2 = x.shape[:2]
     return x.reshape((i1, i2, -1), order="F")
 

@@ -26,7 +26,9 @@ __all__ = [
 ]
 
 
-def as_tensor(x: np.ndarray, *, min_order: int = 1, name: str = "tensor") -> np.ndarray:
+def as_tensor(
+    x: np.ndarray, *, min_order: int = 1, name: str = "tensor", finite: bool = True
+) -> np.ndarray:
     """Coerce ``x`` to a floating-point ``ndarray`` and validate its order.
 
     Parameters
@@ -38,6 +40,10 @@ def as_tensor(x: np.ndarray, *, min_order: int = 1, name: str = "tensor") -> np.
         Minimum number of dimensions required.
     name:
         Argument name used in error messages.
+    finite:
+        Scan every value for NaN/Inf (one full pass over the data).
+        Internal helpers pass ``False`` when the entry point that called
+        them validates the same data, so a fit scans its input once.
 
     Returns
     -------
@@ -65,7 +71,9 @@ def as_tensor(x: np.ndarray, *, min_order: int = 1, name: str = "tensor") -> np.
 
         am = array_module_of(x)
         if not am.is_numpy:
-            return _as_foreign_tensor(am, x, min_order=min_order, name=name)
+            return _as_foreign_tensor(
+                am, x, min_order=min_order, name=name, finite=finite
+            )
     arr = np.asarray(x)
     if arr.dtype.kind not in "fiu":
         raise ShapeError(f"{name} must be numeric, got dtype {arr.dtype!r}")
@@ -79,12 +87,12 @@ def as_tensor(x: np.ndarray, *, min_order: int = 1, name: str = "tensor") -> np.
         )
     if any(s == 0 for s in arr.shape):
         raise ShapeError(f"{name} has an empty mode: shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if finite and not np.isfinite(arr).all():
         raise ShapeError(f"{name} contains non-finite values (NaN or Inf)")
     return arr
 
 
-def _as_foreign_tensor(am, x, *, min_order: int, name: str):
+def _as_foreign_tensor(am, x, *, min_order: int, name: str, finite: bool):
     """Validate a non-NumPy array via its namespace facade (no host copy)."""
     dt = am.np_dtype(x)
     if dt.kind not in "fiu":
@@ -98,7 +106,7 @@ def _as_foreign_tensor(am, x, *, min_order: int, name: str):
         )
     if any(int(s) == 0 for s in x.shape):
         raise ShapeError(f"{name} has an empty mode: shape {tuple(x.shape)}")
-    if not am.all_finite(x):
+    if finite and not am.all_finite(x):
         raise ShapeError(f"{name} contains non-finite values (NaN or Inf)")
     return x
 

@@ -14,11 +14,15 @@ Three contracts matter here:
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import repro.kernels.compress_plan as compress_plan_module
 from repro.core.config import DTuckerConfig
 from repro.core.slice_svd import compress
+from repro.core.sources import DenseSource, NpySource, compress_source
 from repro.engine import Prefetcher, backend_scope
 from repro.exceptions import RankError, ShapeError
 from repro.kernels import (
@@ -32,6 +36,7 @@ from repro.kernels import (
     slab_norms,
 )
 from repro.linalg.rsvd import batched_rsvd, batched_svd_via_gram
+from repro.linalg.svd import sign_fix
 from repro.tensor.random import default_rng, random_tensor
 from repro.tensor.slices import to_slices
 
@@ -462,3 +467,132 @@ class TestConfigPlannerFields:
         assert isinstance(plan, CompressionPlan)
         with pytest.raises(AttributeError):
             plan.method = "gram"  # type: ignore[misc]
+
+
+def _strided_stack(shape, *, seed=0):
+    """The (L, I1, I2) slice view of a C-ordered tensor: slices interleave."""
+    x = np.ascontiguousarray(default_rng(seed).standard_normal(shape))
+    return np.moveaxis(to_slices(x), 2, 0)
+
+
+def _exact_per_slice(stack, rank):
+    """Reference exact path: one LAPACK SVD and one sign fix per slice."""
+    us, ss, vts = [], [], []
+    for mat in stack:
+        u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        u, vt = sign_fix(u[:, :rank], vt[:rank])
+        us.append(u)
+        ss.append(s[:rank])
+        vts.append(vt)
+    return np.stack(us), np.stack(ss), np.stack(vts)
+
+
+class TestBlockKernel:
+    """execute_plan streams cache-sized blocks of slices through one loop."""
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    @pytest.mark.parametrize("method", ["rsvd", "gram", "exact"])
+    def test_strided_view_matches_contiguous_copy(self, method, precision) -> None:
+        strided = _strided_stack((40, 36, 70), seed=1)
+        assert not strided.flags.c_contiguous
+        contiguous = np.ascontiguousarray(strided)
+        plan = plan_compression(40, 36, 5, strategy=method, precision=precision)
+        assert plan.method == method
+        omega = default_rng(3).standard_normal((36, plan.k_eff))
+        with backend_scope("serial") as eng:
+            got = execute_plan(eng, strided, 5, plan, omega=omega)
+            ref = execute_plan(eng, contiguous, 5, plan, omega=omega)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+        assert got[0].dtype == np.dtype(precision)
+        assert got[3].dtype == np.float64
+
+    @pytest.mark.parametrize("budget_slices", [3, 0])
+    @pytest.mark.parametrize("method", ["rsvd", "gram", "exact"])
+    def test_block_edges_match_unblocked_kernels(
+        self, monkeypatch, method, budget_slices
+    ) -> None:
+        # 3 slices per block over L=10 leaves a one-slice remainder block;
+        # a budget below one slice's bytes still makes one-slice blocks.
+        strided = _strided_stack((32, 31, 10), seed=4)
+        slice_bytes = 32 * 31 * 8
+        monkeypatch.setattr(
+            compress_plan_module, "BLOCK_BYTES", max(1, budget_slices * slice_bytes)
+        )
+        contiguous = np.ascontiguousarray(strided)
+        plan = plan_compression(32, 31, 3, strategy=method)
+        omega = default_rng(5).standard_normal((31, plan.k_eff))
+        with backend_scope("serial") as eng:
+            u, s, vt, norms = execute_plan(eng, strided, 3, plan, omega=omega)
+        if method == "rsvd":
+            ref = batched_rsvd(contiguous, 3, test_matrix=omega)
+        elif method == "gram":
+            ref = batched_svd_via_gram(contiguous, 3)
+        else:
+            ref = _exact_per_slice(contiguous, 3)
+        for a, b in zip((u, s, vt), ref):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(norms, slab_norms(contiguous))
+
+    @pytest.mark.parametrize("precision", ["float64", "float32"])
+    def test_exact_batched_sign_fix_matches_per_slice(self, precision) -> None:
+        stack = _strided_stack((24, 20, 9), seed=6)
+        plan = plan_compression(24, 20, 4, strategy="exact", precision=precision)
+        with backend_scope("serial") as eng:
+            u, s, vt, _ = execute_plan(eng, stack, 4, plan)
+        ref = _exact_per_slice(np.ascontiguousarray(stack, dtype=precision), 4)
+        for a, b in zip((u, s, vt), ref):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_parallel_chunks_match_serial(self, backend) -> None:
+        stack = _strided_stack((30, 28, 40), seed=7)
+        plan = plan_compression(30, 28, 4, strategy="rsvd")
+        omega = default_rng(8).standard_normal((28, plan.k_eff))
+        with backend_scope("serial") as eng:
+            ref = execute_plan(eng, stack, 4, plan, omega=omega)
+        pool = BufferPool()
+        with backend_scope(backend, n_workers=2) as eng:
+            got = execute_plan(
+                eng, stack, 4, plan, omega=omega, pool=pool, schedule="dynamic"
+            )
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(a, b)
+
+    def test_dense_and_npy_norms_bitwise_equal(self, tmp_path) -> None:
+        # 3-D C order: the dense slice view is strided (an order-4 tensor
+        # would be copied by its slice reshape), the .npy batch is not.
+        x = np.ascontiguousarray(default_rng(9).standard_normal((26, 24, 40)))
+        path = tmp_path / "x.npy"
+        np.save(path, x)
+        cfg = DTuckerConfig(seed=0)
+        dense = compress_source(DenseSource(x), 4, config=cfg, engine="serial")
+        npy = compress_source(NpySource(path), 4, config=cfg, engine="serial")
+        np.testing.assert_array_equal(
+            dense.slice_norms_squared, npy.slice_norms_squared
+        )
+        np.testing.assert_array_equal(dense.u, npy.u)
+        np.testing.assert_array_equal(dense.vt, npy.vt)
+
+
+class TestApproximationMemoryGuard:
+    """The approximation phase must never hold a slab-sized copy."""
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_compress_peak_below_half_the_tensor(self, backend) -> None:
+        # A C-ordered tensor: its slice view is strided, which used to
+        # cost a full contiguous copy plus a slab-wide sketch.  What stays
+        # is factor-sized (twice over on two chunks: parts + concat) plus
+        # one block buffer per thread.
+        x = np.ascontiguousarray(default_rng(10).standard_normal((100, 90, 600)))
+        cfg = DTuckerConfig(seed=0, backend=backend, n_workers=2)
+        compress(x, 5, config=cfg)  # warm imports and lazy state
+        tracemalloc.start()
+        try:
+            compress(x, 5, config=cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * x.nbytes, (peak, x.nbytes)

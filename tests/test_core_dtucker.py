@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.dtucker import DTucker, decompose
+from repro.core.sources import DenseSource
 from repro.exceptions import NotFittedError, RankError, ShapeError
 from repro.tensor.random import random_tensor
 from tests.conftest import assert_orthonormal
@@ -91,6 +92,27 @@ class TestFit:
         x[0, 0, 0] = np.nan
         with pytest.raises(ShapeError):
             DTucker(ranks=2).fit(x)
+
+    def test_source_rejects_inf(self) -> None:
+        x = np.ones((4, 4, 4))
+        x[1, 2, 3] = np.inf
+        with pytest.raises(ShapeError, match="non-finite"):
+            DenseSource(x)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_fit_scans_input_once(self, monkeypatch, noisy3, order) -> None:
+        x = np.asarray(noisy3, order=order)
+        scans = []
+        real = np.isfinite
+
+        def counting(a, *args, **kwargs):
+            if np.size(a) == x.size:
+                scans.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        DTucker(ranks=(4, 3, 3), seed=0).fit(x)
+        assert len(scans) == 1, scans
 
 
 class TestSliceModes:

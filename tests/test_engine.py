@@ -224,6 +224,38 @@ class TestBackendParity:
             np.testing.assert_array_equal(a, b)
 
 
+class TestProcessSlabUpload:
+    """Slabs are gathered straight into shared memory, with no temporary."""
+
+    def test_strided_upload_bitwise_and_without_slab_temp(self) -> None:
+        import tracemalloc
+        from multiprocessing import shared_memory
+
+        x = np.ascontiguousarray(np.random.default_rng(0).standard_normal((48, 40, 300)))
+        slab = np.moveaxis(x, 2, 0)  # the strided (L, I1, I2) slice view
+        eng = ProcessBackend(n_workers=2)
+        try:
+            tracemalloc.start()
+            try:
+                name, shape, dtype = eng._share(slab)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            seg = shared_memory.SharedMemory(name=name)
+            try:
+                uploaded = np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf)
+                # The previous upload: a contiguous copy, then a memcpy.
+                np.testing.assert_array_equal(uploaded, np.ascontiguousarray(slab))
+                assert uploaded.dtype == slab.dtype
+                del uploaded
+            finally:
+                seg.close()
+            assert eng._share(slab)[0] == name  # cached by identity
+        finally:
+            eng.close()
+        assert peak < slab.nbytes // 4, (peak, slab.nbytes)
+
+
 class TestPhaseTraces:
     def test_dtucker_attaches_traces(self) -> None:
         x = random_tensor((10, 9, 8), (3, 3, 3), rng=2, noise=0.0)

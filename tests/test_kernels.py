@@ -222,6 +222,36 @@ class TestBufferPool:
         assert len(pool) == 0
         assert pool.nbytes == 0
 
+    def test_concurrent_takes_lose_no_update(self) -> None:
+        # Compression chunks on the thread backend draw per-thread slots
+        # from one pool; the reuse/alloc tallies must not lose updates.
+        import sys
+        import threading
+
+        pool = BufferPool()
+        n_threads, rounds = 8, 300
+        start = threading.Barrier(n_threads)
+
+        def work(i: int) -> None:
+            start.wait()
+            for _ in range(rounds):
+                pool.take(f"slot{i}", (4,))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(pool) == n_threads
+        assert pool.bytes_allocated == n_threads * 32
+        assert pool.bytes_reused == n_threads * (rounds - 1) * 32
+
 
 class TestContractionKernels:
     """Fused kernels == projection-cached kernels, with and without out=."""
