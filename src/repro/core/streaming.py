@@ -296,9 +296,15 @@ class StreamingDTucker:
         clipped[-1] = min(clipped[-1], int(shape[-1]))
         return check_ranks(clipped, shape)
 
-    def _validate_block(self, block: np.ndarray) -> tuple[np.ndarray, int]:
-        """Shape/rank-check a block *before* any RNG or state is touched."""
-        x = as_tensor(block, min_order=len(self.ranks), name="block")
+    def _validate_block(
+        self, block: np.ndarray
+    ) -> tuple[np.ndarray, BlockSource, int]:
+        """Check a block *before* any RNG or state is touched.
+
+        Returns the coerced block, its :class:`BlockSource` (whose
+        construction is the block's one NaN/Inf scan) and the slice rank.
+        """
+        x = as_tensor(block, min_order=len(self.ranks), name="block", finite=False)
         if x.ndim != len(self.ranks):
             raise ShapeError(
                 f"block order {x.ndim} does not match ranks order {len(self.ranks)}"
@@ -319,7 +325,7 @@ class StreamingDTucker:
             raise RankError(
                 f"slice rank {k} exceeds min(I1, I2) = {min(x.shape[:2])}"
             )
-        return x, k
+        return x, BlockSource([x]), k
 
     def partial_fit(self, block: np.ndarray) -> "StreamingDTucker":
         """Ingest a new temporal block and refresh the decomposition.
@@ -337,13 +343,13 @@ class StreamingDTucker:
         """
         # Validation happens before compression so a bad block leaves the
         # RNG stream, n_updates_ and every accumulator untouched.
-        x, k = self._validate_block(block)
+        x, source, k = self._validate_block(block)
 
         with Timer() as t_approx:
             # One generator (self._rng) spans all updates, so every block's
             # sketch continues the same stream the one-shot fit would use.
             block_ssvd = compress_source(
-                BlockSource([x]),
+                source,
                 k,
                 config=self.config,
                 engine=self.engine,
@@ -628,7 +634,7 @@ class StreamingDTucker:
             ``self``, updated.
         """
         self._require_fitted()
-        x = as_tensor(block, min_order=len(self.ranks), name="block")
+        x = as_tensor(block, min_order=len(self.ranks), name="block", finite=False)
         accumulated = self.shape_
         if x.shape[:-1] != accumulated[:-1]:
             raise ShapeError(
@@ -642,9 +648,10 @@ class StreamingDTucker:
                 f"extent {accumulated[-1]}"
             )
         rank = self.slice_svd_.rank
+        source = BlockSource([x])  # the block's one NaN/Inf scan
         with Timer() as t_approx:
             block_ssvd = compress_source(
-                BlockSource([x]),
+                source,
                 rank,
                 config=self.config,
                 engine=self.engine,

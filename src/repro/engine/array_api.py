@@ -6,13 +6,13 @@ Every compute layer (``linalg/``, ``tensor/``, ``kernels/``,
 (NumPy, torch, CuPy, or any array-API-standard namespace such as
 ``array_api_strict``).  The contract has three parts:
 
-* **Bit-identity for NumPy.**  :class:`NumpyModule` methods are *literal*
-  delegations to the exact NumPy calls the pre-facade code ran
+* **One kernel body, NumPy as the bit anchor.**  Every kernel is written
+  once against the facade; none keeps a NumPy copy.  :class:`NumpyModule`
+  methods are *literal* delegations to the NumPy calls
   (``np.linalg.svd``, ``np.einsum(..., optimize=True)``,
-  ``np.dot(a, b, out=out)``, …).  Dispatching a NumPy array through the
-  facade therefore executes the identical BLAS/LAPACK kernels and
-  produces bit-identical results — the property the default
-  ``device="cpu"`` path is pinned to.
+  ``np.dot(a, b, out=out)``, …), so a NumPy array dispatched through a
+  kernel executes exactly the BLAS/LAPACK calls of hand-written NumPy —
+  the property the default ``device="cpu"`` path is pinned to.
 * **Lazy discovery.**  Non-NumPy namespaces are optional extras: nothing
   here imports torch/CuPy at module load.  :func:`probe_namespaces`
   reports what is importable; :func:`resolve_device` materialises a
@@ -364,9 +364,9 @@ class ArrayModule:
 class NumpyModule(ArrayModule):
     """The default module: literal NumPy delegations (bit-identity anchor).
 
-    Every method body is exactly the NumPy expression the pre-facade code
-    ran, so routing NumPy arrays through the facade executes identical
-    kernels — nothing about the default path changes, to the last bit.
+    Every method body is exactly one NumPy expression, so a kernel written
+    against the facade runs on NumPy arrays as its hand-written NumPy form
+    would, to the last bit.
     """
 
     def __init__(self) -> None:

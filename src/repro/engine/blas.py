@@ -44,6 +44,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .array_api import array_module_of
+
 __all__ = [
     "blas_thread_controls",
     "limit_blas_threads",
@@ -73,26 +75,12 @@ def gemm_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     to that namespace's GEMM (``cupy.dot(out=)``, or matmul + copy for
     namespaces without a native ``out=``).  Returns ``out``.
     """
-    if type(a) is np.ndarray and type(b) is np.ndarray:
-        return np.dot(a, b, out=out)
-    from .array_api import array_module_of
-
-    am = array_module_of(a, b)
-    if am.is_numpy:
-        return np.dot(a, b, out=out)
-    return am.gemm_into(a, b, out)
+    return array_module_of(a, b).gemm_into(a, b, out)
 
 
 def einsum_into(subscripts: str, *operands: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Optimized einsum written into preallocated ``out`` (returned)."""
-    if all(type(op) is np.ndarray for op in operands):
-        return np.einsum(subscripts, *operands, optimize=True, out=out)
-    from .array_api import array_module_of
-
-    am = array_module_of(*operands)
-    if am.is_numpy:
-        return np.einsum(subscripts, *operands, optimize=True, out=out)
-    return am.einsum(subscripts, *operands, out=out)
+    return array_module_of(*operands).einsum(subscripts, *operands, out=out)
 
 
 def gather_into(dst: np.ndarray, src: np.ndarray) -> np.ndarray:

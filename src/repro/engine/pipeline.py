@@ -234,9 +234,16 @@ class IngestQueue:
 
     def _check_error(self) -> None:
         if self._error is not None:
+            self._shutdown()  # blocks still queued are skipped, not fitted
             exc, self._error = self._error, None
-            self._closed = True
             raise exc
+
+    def _shutdown(self) -> None:
+        """Stop accepting work; the consumer drains the queue and exits."""
+        if not self._closed:
+            self._closed = True
+            self._queue.put(_Close)
+            self._thread.join()
 
     def put(self, block: Any) -> None:
         """Enqueue a block, blocking while the fitter is ``depth`` behind."""
@@ -255,10 +262,7 @@ class IngestQueue:
 
     def close(self) -> None:
         """Drain remaining work, stop the consumer thread, surface errors."""
-        if not self._closed:
-            self._closed = True
-            self._queue.put(_Close)
-            self._thread.join()
+        self._shutdown()
         self._check_error()
 
     def __enter__(self) -> "IngestQueue":
@@ -270,6 +274,4 @@ class IngestQueue:
         else:
             # Already unwinding: stop the thread but let the original
             # exception propagate instead of masking it with a queued one.
-            self._closed = True
-            self._queue.put(_Close)
-            self._thread.join()
+            self._shutdown()

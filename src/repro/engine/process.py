@@ -13,8 +13,13 @@ that price low with two mechanisms:
   attach and compute on zero-copy views.  An ALS run that dispatches
   dozens of per-mode contractions per sweep therefore uploads its triples
   exactly once.
-* **A persistent pool** — workers are forked once (``fork`` start method
-  where available, ``spawn`` elsewhere) and reused across all chunk maps.
+* **A persistent pool** — workers are started once and reused across all
+  chunk maps.  They are forked when the pool is created from the only live
+  thread; otherwise (a server's reader threads, say) they come from a
+  ``forkserver`` that has imported the library once, because a fork
+  copies locks other threads hold into the child, where nothing ever
+  releases them.  Platforms without ``fork`` use their default start
+  method.
 
 Kernels must be module-level functions (or ``functools.partial`` of them)
 and must return fresh arrays, never views into the shared slabs — the view
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import shared_memory
@@ -86,6 +92,18 @@ def _task_worker(
     return os.getpid(), begin - submitted, time.perf_counter() - t0, out
 
 
+def _start_context():
+    """``fork`` from the only live thread, else ``forkserver`` (see module doc)."""
+    methods = multiprocessing.get_all_start_methods()
+    if "fork" not in methods:
+        return multiprocessing.get_context()
+    if threading.active_count() == 1:
+        return multiprocessing.get_context("fork")
+    ctx = multiprocessing.get_context("forkserver")
+    ctx.set_forkserver_preload(["repro"])
+    return ctx
+
+
 class ProcessBackend(ExecutionBackend):
     """Run chunks on a persistent process pool with shared-memory inputs."""
 
@@ -107,9 +125,9 @@ class ProcessBackend(ExecutionBackend):
     # -- lifecycle ---------------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-            self._pool = ProcessPoolExecutor(max_workers=self.n_workers, mp_context=ctx)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.n_workers, mp_context=_start_context()
+            )
         return self._pool
 
     def close(self) -> None:

@@ -49,13 +49,8 @@ __all__ = [
 
 
 def _einsum(subscripts: str, *operands, out=None):
-    """Namespace-dispatched einsum: literal ``np.einsum`` for NumPy stacks."""
-    if all(type(op) is np.ndarray for op in operands):
-        return np.einsum(subscripts, *operands, optimize=True, out=out)
-    am = array_module_of(*operands)
-    if am.is_numpy:
-        return np.einsum(subscripts, *operands, optimize=True, out=out)
-    return am.einsum(subscripts, *operands, out=out)
+    """Namespace-dispatched einsum (``np.einsum(optimize=True)`` for NumPy)."""
+    return array_module_of(*operands).einsum(subscripts, *operands, out=out)
 
 
 # -- projection kernels ------------------------------------------------------
@@ -149,11 +144,7 @@ def stack_to_tensor(stack: np.ndarray, trailing: tuple[int, ...]) -> np.ndarray:
     :func:`repro.tensor.slices.to_slices`.
     """
     am = array_module_of(stack)
-    if am.is_numpy:
-        moved = np.moveaxis(stack, 0, 2)  # (a, b, L)
-        shape = stack.shape[1:3] + trailing
-        return moved.reshape(shape, order="F")
-    moved = am.moveaxis(stack, 0, 2)
+    moved = am.moveaxis(stack, 0, 2)  # (a, b, L)
     shape = tuple(int(d) for d in stack.shape[1:3]) + tuple(trailing)
     return am.reshape(moved, shape, order="F")
 
@@ -189,10 +180,7 @@ def dispatch_slices(
             reduce=concat_chunks, costs=costs, schedule=schedule,
         )
     def _concat_into(parts):
-        am = array_module_of(out, *parts)
-        if am.is_numpy:
-            return np.concatenate(parts, axis=0, out=out)
-        return am.concatenate(parts, axis=0, out=out)
+        return array_module_of(out, *parts).concatenate(parts, axis=0, out=out)
 
     return chunked(
         engine, kernel, n_items, slabs=slabs, broadcast=broadcast,

@@ -119,19 +119,17 @@ class SweepWorkspace:
         )
         self.pool = BufferPool(self.module)
         self.stats = KernelStats()
+        # Identity (no copy) for the default float64 on NumPy: SliceSVD
+        # stores float64, so the host path is untouched bit for bit.
+        self._u, self._s, self._vt = (
+            self.module.to_device(np.asarray(a, dtype=self.compute_dtype))
+            for a in (ssvd.u, ssvd.s, ssvd.vt)
+        )
         if self.module.is_numpy:
             self.engine = engine
-            # Identity (no copy) for the default float64: SliceSVD stores
-            # float64, so the historical path is untouched bit for bit.
-            self._u = np.asarray(ssvd.u, dtype=self.compute_dtype)
-            self._s = np.asarray(ssvd.s, dtype=self.compute_dtype)
-            self._vt = np.asarray(ssvd.vt, dtype=self.compute_dtype)
         else:
+            # Device sweeps run inline; the upload is tallied as xfer:h2d.
             self.engine = None
-            am = self.module
-            self._u = am.to_device(np.asarray(ssvd.u, dtype=self.compute_dtype))
-            self._s = am.to_device(np.asarray(ssvd.s, dtype=self.compute_dtype))
-            self._vt = am.to_device(np.asarray(ssvd.vt, dtype=self.compute_dtype))
             itemsize = self.compute_dtype.itemsize
             for host in (ssvd.u, ssvd.s, ssvd.vt):
                 self.stats.record_transfer("h2d", host.size * itemsize)

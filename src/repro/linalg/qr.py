@@ -26,11 +26,6 @@ def economy_qr(matrix):
     """
     a = check_matrix(matrix, name="matrix")
     am = array_module_of(a)
-    if am.is_numpy:
-        q, r = np.linalg.qr(a)
-        signs = np.sign(np.diagonal(r)).copy()
-        signs[signs == 0] = 1.0
-        return q * signs, r * signs[:, None]
     q, r = am.qr(a)
     signs = am.sign(am.diagonal(r))
     one = am.asarray(1.0, dtype=am.np_dtype(r))

@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
+from ..engine.array_api import array_module_of
 from ..exceptions import ShapeError
 from ..tensor.random import default_rng
 from ..validation import check_positive_int
@@ -37,12 +38,7 @@ __all__ = ["CountSketch", "TensorSketch"]
 
 def _to_host(x):
     """Pull a non-NumPy array back to the host (sparse ops are CPU-only)."""
-    if type(x) is np.ndarray:
-        return x
-    from ..engine.array_api import array_module_of
-
-    am = array_module_of(x)
-    return x if am.is_numpy else am.from_device(x)
+    return array_module_of(x).from_device(x)
 
 
 class CountSketch:

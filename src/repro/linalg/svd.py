@@ -17,10 +17,10 @@ These wrappers add four things over ``numpy.linalg.svd``:
   bad-slice fallback in
   :func:`repro.linalg.rsvd.batched_svd_via_gram`.
 
-All entry points dispatch through the array-namespace facade
+All entry points are written once against the array-namespace facade
 (:func:`repro.engine.array_api.array_module_of`): NumPy inputs run the
-exact pre-facade NumPy calls (bit-identical), while torch / CuPy /
-array-API inputs stay in their namespace end to end.
+literal NumPy calls of :class:`~repro.engine.array_api.NumpyModule`, while
+torch / CuPy / array-API inputs stay in their namespace end to end.
 """
 
 from __future__ import annotations
@@ -45,27 +45,23 @@ def robust_svd(a, *, full_matrices: bool = False):
 
     NumPy's default divide-and-conquer driver (gesdd) is fast but can raise
     ``LinAlgError: SVD did not converge`` on near-degenerate matrices.  When
-    that happens on the NumPy path, retry with SciPy's QR-iteration driver
-    (gesvd), which is slower but converges on a strictly larger input class.
-    Only the failure path differs — healthy inputs see the identical
-    ``np.linalg.svd`` call as before.
+    that happens, retry on the host with SciPy's QR-iteration driver
+    (gesvd), which is slower but converges on a strictly larger input class,
+    and return the float64 factors in ``a``'s namespace.  Only the failure
+    path differs — healthy inputs see the namespace's own SVD.
     """
     am = array_module_of(a)
-    if not am.is_numpy:
-        return am.svd(a, full_matrices=full_matrices)
     try:
-        return np.linalg.svd(a, full_matrices=full_matrices)
+        return am.svd(a, full_matrices=full_matrices)
     except np.linalg.LinAlgError:
-        try:
-            from scipy.linalg import svd as scipy_svd
-        except ImportError:  # pragma: no cover - scipy ships with the image
-            raise
-        u, s, vt = scipy_svd(
-            np.asarray(a, dtype=np.float64),
+        from scipy.linalg import svd as scipy_svd
+
+        factors = scipy_svd(
+            np.asarray(am.from_device(a), dtype=np.float64),
             full_matrices=full_matrices,
             lapack_driver="gesvd",
         )
-        return u, s, vt
+        return tuple(am.to_device(f) for f in factors)
 
 
 def sign_fix(u, vt=None):
@@ -76,15 +72,7 @@ def sign_fix(u, vt=None):
     too, preserving the product ``u @ diag(s) @ vt``.
     """
     am = array_module_of(u, vt)
-    if am.is_numpy:
-        u = np.asarray(u)
-        idx = np.argmax(np.abs(u), axis=0)
-        signs = np.sign(u[idx, np.arange(u.shape[1])])
-        signs[signs == 0] = 1.0
-        u = u * signs
-        if vt is not None:
-            vt = np.asarray(vt) * signs[:, None]
-        return u, vt
+    u = am.asarray(u)
     n_cols = int(u.shape[1])
     idx = am.argmax(am.abs(u), axis=0)
     vals = am.take_flat(u, idx * n_cols + am.arange(n_cols))
@@ -93,7 +81,7 @@ def sign_fix(u, vt=None):
     signs = am.where(signs == 0, one, signs)
     u = u * signs
     if vt is not None:
-        vt = vt * signs[:, None]
+        vt = am.asarray(vt) * signs[:, None]
     return u, vt
 
 
@@ -131,26 +119,20 @@ def _complete_basis(u, rank: int):
     columns (a degenerate but legal Tucker geometry, e.g. rank ``J_n``
     exceeding ``Π_{k≠n} J_k``): the extra directions carry no energy, but
     downstream code relies on every factor having exactly ``J_n``
-    orthonormal columns.
+    orthonormal columns.  The projector and the completed basis are float64
+    whatever ``u``'s dtype (``u @ uᵀ`` itself runs in ``u``'s dtype).
     """
     need = rank - int(u.shape[1])
     if need <= 0:
         return u[:, :rank]
     am = array_module_of(u)
-    if am.is_numpy:
-        m = u.shape[0]
-        projector = np.eye(m) - u @ u.T
-        w, vecs = np.linalg.eigh((projector + projector.T) / 2.0)
-        extra = vecs[:, ::-1][:, :need]
-        extra = extra - u @ (u.T @ extra)
-        extra, _ = np.linalg.qr(extra)
-        return np.hstack([u, extra])
-    m = int(u.shape[0])
-    ut = am.mT(u)
-    projector = am.eye(m, dtype=am.np_dtype(u)) - am.matmul(u, ut)
+    projector = am.eye(int(u.shape[0])) - am.astype(
+        am.matmul(u, am.mT(u)), np.float64
+    )
     w, vecs = am.eigh((projector + am.mT(projector)) / 2.0)
     extra = am.flip(vecs, axis=1)[:, :need]
-    extra = extra - am.matmul(u, am.matmul(ut, extra))
+    u = am.astype(u, np.float64)
+    extra = extra - am.matmul(u, am.matmul(am.mT(u), extra))
     extra, _ = am.qr(extra)
     return am.concatenate([u, extra], axis=1)
 
@@ -178,23 +160,14 @@ def leading_left_singular_vectors(matrix, rank: int):
     if r > m:
         raise RankError(f"rank {r} exceeds the row count {m}")
     am = array_module_of(a)
-    if am.is_numpy:
-        if n > 2 * m:
-            g = a @ a.T
-            g = (g + g.T) / 2.0
-            w, v = np.linalg.eigh(g)
-            # eigh returns ascending order; take the top-`r` eigenvectors.
-            u = v[:, ::-1][:, :r]
-        else:
-            u = _complete_basis(robust_svd(a, full_matrices=False)[0], r)
+    if n > 2 * m:
+        g = am.matmul(a, am.mT(a))
+        g = (g + am.mT(g)) / 2.0
+        w, v = am.eigh(g)
+        # eigh returns ascending order; take the top-`r` eigenvectors.
+        u = am.flip(v, axis=1)[:, :r]
     else:
-        if n > 2 * m:
-            g = am.matmul(a, am.mT(a))
-            g = (g + am.mT(g)) / 2.0
-            w, v = am.eigh(g)
-            u = am.flip(v, axis=1)[:, :r]
-        else:
-            u = _complete_basis(am.svd(a, full_matrices=False)[0], r)
+        u = _complete_basis(robust_svd(a, full_matrices=False)[0], r)
     u, _ = sign_fix(u)
     return u
 
@@ -209,20 +182,12 @@ def solve_gram(gram_matrix, rhs, *, ridge: float = 0.0):
     if g.shape[0] != g.shape[1]:
         raise RankError(f"gram_matrix must be square, got {tuple(g.shape)}")
     am = array_module_of(g, rhs)
-    if am.is_numpy:
-        b = np.asarray(rhs, dtype=float)
-        a = g + ridge * np.eye(g.shape[0]) if ridge else g
-        try:
-            c = np.linalg.cholesky(a)
-            y = np.linalg.solve(c, b)
-            return np.linalg.solve(c.T, y)
-        except np.linalg.LinAlgError:
-            return np.linalg.pinv(a) @ b
     b = am.astype(am.asarray(rhs), np.float64)
-    a = g + ridge * am.eye(int(g.shape[0]), dtype=am.np_dtype(g)) if ridge else g
+    a = g + ridge * am.eye(int(g.shape[0])) if ridge else g
     try:
         c = am.cholesky(a)
         y = am.solve(c, b)
         return am.solve(am.mT(c), y)
-    except Exception:
+    # NumPy raises LinAlgError; torch's linalg errors are RuntimeErrors.
+    except (np.linalg.LinAlgError, RuntimeError):
         return am.matmul(am.pinv(a), b)

@@ -28,10 +28,17 @@ from repro.engine.array_api import (
     probe_namespaces,
     resolve_device,
 )
-from repro.engine.array_api import _MODULES
+from repro.engine.array_api import _MODULES, _TYPE_CACHE
 from repro.engine.trace import PhaseTrace
 from repro.exceptions import BackendError
 from repro.kernels import BufferPool, KernelStats, SweepWorkspace
+from repro.linalg.rsvd import batched_svd_via_gram
+from repro.linalg.svd import (
+    _complete_basis,
+    leading_left_singular_vectors,
+    sign_fix,
+    solve_gram,
+)
 from repro.kernels.compress_plan import (
     estimate_costs,
     estimate_device_costs,
@@ -53,6 +60,37 @@ def generic():
     am.caps["native_einsum"] = False
     am.caps["native_kron"] = False
     return am
+
+
+class Boxed(np.ndarray):
+    """A NumPy array that the dispatcher hands to a non-NumPy module."""
+
+
+class _BoxingNumpy:
+    """NumPy as a foreign namespace: ``asarray`` keeps arrays ``Boxed``."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def asarray(obj, dtype=None):
+        return np.asarray(obj, dtype=dtype).view(Boxed)
+
+
+@pytest.fixture
+def boxed(generic, monkeypatch):
+    """Route :class:`Boxed` inputs to ``generic`` through ``array_module_of``.
+
+    Library entry points dispatch on their inputs, so a boxed input runs
+    every kernel body on the base :class:`ArrayModule` end to end.
+    """
+    monkeypatch.setattr(generic, "xp", _BoxingNumpy())
+    monkeypatch.setitem(_TYPE_CACHE, Boxed, generic)
+    return generic
+
+
+def box(arr: np.ndarray) -> Boxed:
+    return np.asarray(arr).view(Boxed)
 
 
 @pytest.fixture
@@ -247,6 +285,113 @@ class TestGenericFacade:
         x = np.zeros((3, 5), dtype=np.float32)
         assert generic.nbytes(x) == x.nbytes
         assert generic.np_dtype(x) == np.float32
+
+
+def _numpy_signs(u: np.ndarray) -> np.ndarray:
+    """Reference sign convention: each column's largest |entry| positive."""
+    signs = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
+    signs[signs == 0] = 1.0
+    return signs
+
+
+class TestKernelBodiesOnFacade:
+    """The one body of each linalg kernel, run on the base facade.
+
+    Each result is compared with the NumPy path and with an independent
+    NumPy reference, so a fault in the shared body fails here too.
+    """
+
+    def test_boxed_inputs_dispatch_to_generic(self, boxed) -> None:
+        assert array_module_of(box(np.ones(3))) is boxed
+
+    def test_gram_svd_with_rank_deficient_slice(self, boxed, monkeypatch) -> None:
+        rng = np.random.default_rng(8)
+        stack = rng.standard_normal((5, 30, 12))
+        stack[2] = np.outer(rng.standard_normal(30), rng.standard_normal(12))
+        direct = []
+        svd = boxed.svd
+        monkeypatch.setattr(
+            boxed, "svd", lambda a, full_matrices=False: direct.append(a.shape)
+            or svd(a, full_matrices=full_matrices)
+        )
+        u, s, vt = batched_svd_via_gram(box(stack), 3)
+        assert type(u) is Boxed
+        assert direct == [(30, 12)]  # only the rank-1 slice took the fallback
+        u0, s0, vt0 = batched_svd_via_gram(stack, 3)
+        np.testing.assert_allclose(s, s0, rtol=1e-12, atol=1e-12)
+        good = [0, 1, 3, 4]
+        np.testing.assert_allclose(u[good], u0[good], rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(vt[good], vt0[good], rtol=1e-9, atol=1e-12)
+        ur, sr, vtr = np.linalg.svd(stack, full_matrices=False)
+        np.testing.assert_allclose(s, sr[:, :3], rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(
+            np.einsum("lik,lk,lkj->lij", u, s, vt),
+            np.einsum("lik,lk,lkj->lij", ur[:, :, :3], sr[:, :3], vtr[:, :3]),
+            atol=1e-9,
+        )
+        for ul in u:
+            np.testing.assert_array_equal(_numpy_signs(np.asarray(ul)), 1.0)
+
+    def test_sign_fix(self, boxed) -> None:
+        rng = np.random.default_rng(9)
+        u = rng.standard_normal((7, 4))
+        u[:, 2] = 0.0  # an all-zero column keeps its sign
+        vt = rng.standard_normal((4, 5))
+        got_u, got_vt = sign_fix(box(u), box(vt))
+        want_u, want_vt = sign_fix(u, vt)
+        np.testing.assert_allclose(got_u, want_u, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(got_vt, want_vt, rtol=1e-15, atol=0)
+        signs = _numpy_signs(u)
+        np.testing.assert_array_equal(got_u, u * signs)
+        np.testing.assert_array_equal(got_vt, vt * signs[:, None])
+
+    @pytest.mark.parametrize(
+        "shape,rank",
+        [((6, 40), 4), ((12, 9), 5), ((10, 3), 6)],
+        ids=["wide-gram", "thin-svd", "complete-basis"],
+    )
+    def test_leading_left_singular_vectors(self, boxed, shape, rank) -> None:
+        a = np.random.default_rng(10).standard_normal(shape)
+        got = np.asarray(leading_left_singular_vectors(box(a), rank))
+        want = leading_left_singular_vectors(a, rank)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(got.T @ got, np.eye(rank), atol=1e-12)
+        # The leading directions span the top left singular subspace.
+        lead = min(rank, shape[1])
+        ur = np.linalg.svd(a, full_matrices=False)[0][:, :lead]
+        np.testing.assert_allclose(
+            got[:, :lead] @ got[:, :lead].T, ur @ ur.T, atol=1e-9
+        )
+        np.testing.assert_array_equal(_numpy_signs(got), 1.0)
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.5])
+    def test_solve_gram(self, boxed, ridge) -> None:
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((20, 6))
+        rhs = rng.standard_normal((6, 3))
+        got = solve_gram(box(m.T @ m), rhs, ridge=ridge)
+        np.testing.assert_allclose(
+            got, solve_gram(m.T @ m, rhs, ridge=ridge), rtol=1e-12, atol=1e-12
+        )
+        reference = np.linalg.solve(m.T @ m + ridge * np.eye(6), rhs)
+        np.testing.assert_allclose(got, reference, rtol=1e-9, atol=1e-12)
+
+    def test_solve_gram_singular_takes_pinv(self, boxed) -> None:
+        g, rhs = np.ones((4, 4)), np.ones((4, 2))
+        got = solve_gram(box(g), rhs)
+        np.testing.assert_allclose(got, np.linalg.pinv(g) @ rhs, atol=1e-12)
+
+    def test_float32_complete_basis_keeps_float64_projector(self) -> None:
+        """Bitwise pin: ``u @ uᵀ`` in float32, the projector in float64."""
+        rng = np.random.default_rng(12)
+        u = np.linalg.qr(rng.standard_normal((9, 3)))[0].astype(np.float32)
+        projector = np.eye(9) - u @ u.T
+        _, vecs = np.linalg.eigh((projector + projector.T) / 2.0)
+        extra = vecs[:, ::-1][:, :4]
+        extra, _ = np.linalg.qr(extra - u @ (u.T @ extra))
+        got = _complete_basis(u, 7)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, np.hstack([u, extra]))
 
 
 # ---------------------------------------------------------------------------

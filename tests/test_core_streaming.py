@@ -166,6 +166,44 @@ class TestFailedIngestLeavesStateUntouched:
         clean.partial_fit(temporal[..., 10:])
         np.testing.assert_array_equal(s.result_.core, clean.result_.core)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("update", ["refit", "incremental"])
+    def test_non_finite_block_is_a_true_no_op(self, temporal, update, bad) -> None:
+        s = StreamingDTucker(ranks=(3, 3, 4), seed=0, update=update)
+        s.partial_fit(temporal[..., :10])
+        rng_before = repr(s._rng.bit_generator.state)
+        u_before = s.slice_svd_.u.copy()
+        block = temporal[..., 10:].copy()
+        block[3, 4, 2] = bad
+        with pytest.raises(ShapeError, match="non-finite"):
+            s.partial_fit(block)
+        with pytest.raises(ShapeError, match="non-finite"):
+            s.revise(0, block[..., :4])
+        assert s.n_updates_ == 1
+        assert repr(s._rng.bit_generator.state) == rng_before
+        np.testing.assert_array_equal(s.slice_svd_.u, u_before)
+
+    @pytest.mark.parametrize("update", ["refit", "incremental", "sketch"])
+    def test_each_block_is_scanned_once(self, monkeypatch, temporal, update) -> None:
+        """partial_fit and revise make one NaN/Inf scan of their block."""
+        s = StreamingDTucker(ranks=(3, 3, 4), seed=0, update=update)
+        first, second = temporal[..., :10], temporal[..., 10:]
+        scans = []
+        real = np.isfinite
+
+        def counting(a, *args, **kwargs):
+            if np.size(a) == first.size:
+                scans.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        s.partial_fit(first)
+        assert len(scans) == 1, scans
+        s.partial_fit(second)
+        assert len(scans) == 2, scans
+        s.revise(0, first)
+        assert len(scans) == 3, scans
+
     def test_oversized_slice_rank_before_first_fit(self) -> None:
         s = StreamingDTucker(ranks=(3, 3, 2), slice_rank=10, update="incremental")
         rng_before = repr(s._rng.bit_generator.state)
@@ -389,6 +427,7 @@ class TestIngestQueue:
             q.join()
         with pytest.raises(RuntimeError):
             q.put(temporal[..., :5])  # closed after the failure
+        assert not q._thread.is_alive()  # the failure stopped the consumer
 
     def test_model_queue_surfaces_fit_errors(self, temporal) -> None:
         s = StreamingDTucker(ranks=(3, 3, 4), seed=0)
@@ -397,6 +436,7 @@ class TestIngestQueue:
         with pytest.raises(ShapeError):
             q.put(np.ones((16, 11, 5)))
             q.join()
+        assert not q._thread.is_alive()
 
     def test_invalid_depth(self, temporal) -> None:
         s = StreamingDTucker(ranks=(3, 3, 4))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -283,6 +285,60 @@ class TestConcurrentServing:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 list(pool.map(job, range(24)))
             assert served.stats.n_queries == 24
+
+    def test_process_backend_readers_do_not_hang(self, tmp_path) -> None:
+        """Reader threads that start process pools must not deadlock.
+
+        Forking while other threads hold locks used to hang this workload
+        in most rounds on two workers; three rounds catch it nearly always.
+        It runs in a subprocess so a regression fails on the timeout
+        instead of hanging the suite.
+        """
+        code = (
+            "import sys\n"
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "import numpy as np\n"
+            "from repro import DTucker\n"
+            "from repro.tensor.random import random_tensor\n"
+            "rng = np.random.default_rng(0)\n"
+            "x = random_tensor((14, 12, 32), (3, 3, 3), rng=rng, noise=0.05)\n"
+            "store = DTucker(ranks=(3, 3, 3), seed=0).fit(x).save(sys.argv[1])\n"
+            "for _ in range(3):\n"
+            "    with store.open() as served:\n"
+            "        expected = served.reconstruct()\n"
+            "        with ThreadPoolExecutor(max_workers=4) as pool:\n"
+            "            futures = [\n"
+            "                pool.submit(served.query_many, [(0, 8), (8, 24)]),\n"
+            "                pool.submit(served.query_time_range, 3, 29),\n"
+            "                pool.submit(served.reconstruct),\n"
+            "                pool.submit(served.query_many, [(0, 8), (3, 29)]),\n"
+            "            ]\n"
+            "            results = [f.result() for f in futures]\n"
+            "        assert np.array_equal(results[2], expected)\n"
+            "print('ok')\n"
+        )
+        env = {
+            "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+            "REPRO_BACKEND": "process",
+            "REPRO_WORKERS": "2",
+        }
+        # A session of its own, so a hang can be killed with its workers.
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, str(tmp_path / "m")],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            stdout, stderr = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("concurrent serving on the process backend hung")
+        assert proc.returncode == 0, stderr
+        assert stdout.strip() == "ok"
 
     def test_close_releases_engines(self, temporal, tmp_path) -> None:
         _, store = fitted_store(temporal, tmp_path / "m")
